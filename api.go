@@ -261,13 +261,6 @@ func Start(ctx context.Context, b Backend, c *Circuit, opts ...ExecOption) (Hand
 	return qpi.Start(ctx, b, c, opts...)
 }
 
-// Execute dispatches a finished kernel synchronously, detached from any
-// context.
-//
-// Deprecated: use Run, which threads a context.Context through every
-// layer and accepts functional options.
-func Execute(b Backend, c *Circuit, shots int) (*Result, error) { return qpi.Execute(b, c, shots) }
-
 // Port kinds (used to locate drive/readout channels by inspection).
 const (
 	PortDrive   = pulse.PortDrive
@@ -434,11 +427,6 @@ func (s *Stack) Telemetry() TelemetrySnapshot { return s.Client.Telemetry() }
 // NewServer exposes a client over TCP.
 func NewServer(c *Client, addr string, opts ...ServerOption) (*Server, error) {
 	return client.NewServer(c, addr, opts...)
-}
-
-// NewRemoteAdapter dials a remote MQSS client, detached from any context.
-func NewRemoteAdapter(addr string, opts ...RemoteOption) (*RemoteAdapter, error) {
-	return client.NewRemoteAdapter(addr, opts...)
 }
 
 // NewRemoteAdapterCtx dials a remote MQSS client under ctx.

@@ -1,5 +1,5 @@
-// mqss-bench regenerates the paper-reproduction experiment tables
-// (DESIGN.md §4, recorded in EXPERIMENTS.md).
+// mqss-bench regenerates the paper-reproduction experiment tables (see
+// ARCHITECTURE.md, "internal/experiments"; `mqss-bench -list` names them).
 //
 // Usage:
 //

@@ -320,7 +320,7 @@ func TestRemoteCancelledContextPoisonsConnection(t *testing.T) {
 		}
 	}()
 
-	remote, err := NewRemoteAdapter(ln.Addr().String())
+	remote, err := NewRemoteAdapterCtx(context.Background(), ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestRemoteCancelledContextPoisonsConnection(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("submit returned after %v, want ≈120ms", elapsed)
 	}
-	if _, err := remote.SubmitPayload("dev", []byte("payload"), qdmi.FormatQIRBase, 16); err == nil {
+	if _, err := remote.SubmitPayloadCtx(context.Background(), "dev", []byte("payload"), qdmi.FormatQIRBase, SubmitOptions{Shots: 16}); err == nil {
 		t.Fatal("poisoned connection accepted a submission")
 	}
 }
@@ -361,13 +361,13 @@ func TestServerMaxJobTime(t *testing.T) {
 	_ = first
 	<-entered
 
-	remote, err := NewRemoteAdapter(srv.Addr())
+	remote, err := NewRemoteAdapterCtx(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer remote.Close()
 	// No client deadline: the server-side cap alone bounds the job.
-	if _, err := remote.SubmitPayload("hpcqc-sc", payload, format, 16); err == nil {
+	if _, err := remote.SubmitPayloadCtx(context.Background(), "hpcqc-sc", payload, format, SubmitOptions{Shots: 16}); err == nil {
 		t.Fatal("server job cap did not fire")
 	}
 }

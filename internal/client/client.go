@@ -15,8 +15,13 @@
 // against a deterministic representative member and the fleet scheduler
 // places the job on the least-loaded one; admission-control rejections
 // surface as qrm.ErrOverloaded (also across the remote wire protocol) so
-// callers can back off. The pre-context entry points (Submit, Run) remain
-// as deprecated shims.
+// callers can back off.
+//
+// Every job operation has one implementation: kernels and parametric
+// templates share one lowering-cache probe/insert path (CacheStats keeps
+// concrete Hits and template Binds apart), one compile-span recorder, and
+// one scheduler-request builder that the remote Server reuses for jobs
+// arriving over the wire.
 package client
 
 import (
@@ -254,8 +259,11 @@ func waveformDigest(k *qpi.Circuit) uint64 {
 // Compile lowers a kernel for a device, using the lowering cache when
 // enabled.
 func (c *Client) Compile(k *qpi.Circuit, device string) ([]byte, qdmi.ProgramFormat, error) {
-	payload, format, _, _, err := c.compile(k, device, false)
-	return payload, format, err
+	e, _, err := c.compile(k, device, false)
+	if err != nil {
+		return nil, "", err
+	}
+	return e.payload, e.format, nil
 }
 
 // CompileTraced is Compile with telemetry: the compile span — and a
@@ -263,18 +271,27 @@ func (c *Client) Compile(k *qpi.Circuit, device string) ([]byte, qdmi.ProgramFor
 // the calibration epoch the payload was compiled against. It is the
 // compile half of the split compile/submit path the remote adapter uses.
 func (c *Client) CompileTraced(k *qpi.Circuit, device string, tl *telemetry.Timeline) ([]byte, qdmi.ProgramFormat, int64, error) {
-	payload, format, epoch, _, err := c.compileTraced(k, device, false, tl)
-	return payload, format, epoch, err
+	e, err := c.compileTraced(k, device, false, tl)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	return e.payload, e.format, e.epoch, nil
 }
 
-// compileTraced wraps compile in a StageCompile span with a cache-hit or
-// cache-miss child on tl (nil tl records nothing).
-func (c *Client) compileTraced(k *qpi.Circuit, device string, bypassCache bool, tl *telemetry.Timeline) ([]byte, qdmi.ProgramFormat, int64, bool, error) {
+// compileTraced is compile with its compile span recorded on tl.
+func (c *Client) compileTraced(k *qpi.Circuit, device string, bypassCache bool, tl *telemetry.Timeline) (*cacheEntry, error) {
 	start := time.Now()
-	payload, format, epoch, hit, err := c.compile(k, device, bypassCache)
+	e, hit, err := c.compile(k, device, bypassCache)
 	if err != nil {
-		return nil, "", 0, false, err
+		return nil, err
 	}
+	recordCompile(tl, device, start, hit)
+	return e, nil
+}
+
+// recordCompile records a StageCompile span that began at start, with a
+// cache-hit or cache-miss child, on tl (nil tl records nothing).
+func recordCompile(tl *telemetry.Timeline, device string, start time.Time, hit bool) {
 	d := time.Since(start)
 	span := tl.Record(telemetry.StageCompile, device, start, d, 0)
 	cacheStage := telemetry.StageCacheMiss
@@ -282,87 +299,116 @@ func (c *Client) compileTraced(k *qpi.Circuit, device string, bypassCache bool, 
 		cacheStage = telemetry.StageCacheHit
 	}
 	tl.Record(cacheStage, device, start, d, span)
-	return payload, format, epoch, hit, nil
 }
 
-// deviceEpoch reads a device's calibration epoch. Epoch-unaware devices
-// (ErrNotSupported) report zero, which disables downstream staleness
-// checks; any other failure — a device advertising the property but
-// answering it with the wrong type — propagates, because treating it as
-// epoch-unaware would silently drop every staleness protection.
-func deviceEpoch(dev qdmi.Device) (int64, error) {
+// deviceEpoch resolves a device and reads its calibration epoch.
+// Epoch-unaware devices (ErrNotSupported) report zero, which disables
+// downstream staleness checks; any other failure — a device advertising
+// the property but answering it with the wrong type — propagates, because
+// treating it as epoch-unaware would silently drop every staleness
+// protection.
+//
+// Callers read the epoch before any lowering query: if a recalibration
+// lands mid-compile the recorded epoch is already superseded, so the
+// dispatch-time check (or the next cache lookup) forces a recompile — the
+// race can only err toward recompiling, never toward staleness.
+func (c *Client) deviceEpoch(device string) (qdmi.Device, int64, error) {
+	dev, err := c.session.Device(device)
+	if err != nil {
+		return nil, 0, err
+	}
 	epoch, err := qdmi.QueryCalibrationEpoch(dev)
 	if err != nil {
 		if errors.Is(err, qdmi.ErrNotSupported) {
-			return 0, nil
+			return dev, 0, nil
 		}
-		return 0, err
+		return nil, 0, err
 	}
-	return epoch, nil
+	return dev, epoch, nil
 }
 
-// compile lowers a kernel and returns the payload, its exchange format,
-// the calibration epoch it was compiled against, and whether the payload
-// was served from the lowering cache.
-func (c *Client) compile(k *qpi.Circuit, device string, bypassCache bool) ([]byte, qdmi.ProgramFormat, int64, bool, error) {
+// cacheLookup probes the lowering cache for key at the target's current
+// calibration epoch. A live entry of the wanted kind (compiled template or
+// concrete payload) refreshes its recency and counts as a bind or a hit.
+// An entry compiled against a calibration the device has left — or one of
+// the other kind under a colliding key — is dropped as an invalidation.
+// Anything but a live entry counts as a miss and returns nil.
+func (c *Client) cacheLookup(key string, epoch int64, template bool) *cacheEntry {
+	c.mu.Lock()
+	if el, ok := c.loweringCache[key]; ok {
+		entry := el.Value.(*cacheEntry)
+		if entry.epoch == epoch && (entry.tpl != nil) == template {
+			if template {
+				// A cache-hot template makes this sweep point a bind, not a
+				// compile — the distinction CacheStats.Binds exists to show.
+				c.cacheStats.Binds++
+			} else {
+				c.cacheStats.Hits++
+			}
+			c.lruList.MoveToFront(el)
+			c.mu.Unlock()
+			c.telem.Add("client/cache_hits", 1)
+			return entry
+		}
+		c.removeLocked(el)
+		c.cacheStats.Invalidations++
+	}
+	c.cacheStats.Misses++
+	c.mu.Unlock()
+	c.telem.Add("client/cache_misses", 1)
+	return nil
+}
+
+// cacheInsert stores a freshly compiled entry and returns the entry the
+// cache now holds for its key: when a concurrent compile of the same key
+// won the race, the winner's entry is kept, its recency refreshed.
+func (c *Client) cacheInsert(entry *cacheEntry) *cacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.loweringCache[entry.key]; ok {
+		c.lruList.MoveToFront(el)
+		if won := el.Value.(*cacheEntry); (won.tpl != nil) == (entry.tpl != nil) {
+			return won
+		}
+		return entry
+	}
+	c.loweringCache[entry.key] = c.lruList.PushFront(entry)
+	if entry.tpl != nil {
+		c.templateEntries++
+	}
+	c.evictLocked()
+	return entry
+}
+
+// compile lowers a kernel and returns its cache entry (payload, exchange
+// format and the calibration epoch it was compiled against), and whether
+// the entry was served from the lowering cache.
+func (c *Client) compile(k *qpi.Circuit, device string, bypassCache bool) (*cacheEntry, bool, error) {
 	if k.IsParametric() {
-		return nil, "", 0, false, fmt.Errorf(
+		return nil, false, fmt.Errorf(
 			"client: kernel %q carries unbound parameters %v; wrap it in a ptemplate.Template and use SubmitSweepCtx/RunSweep",
 			k.Name, k.ParamNames())
 	}
-	dev, err := c.session.Device(device)
+	dev, epoch, err := c.deviceEpoch(device)
 	if err != nil {
-		return nil, "", 0, false, err
+		return nil, false, err
 	}
-	// The epoch is read before any lowering query: if a recalibration
-	// lands mid-compile the recorded epoch is already superseded, so the
-	// dispatch-time check (or the next cache lookup) forces a recompile —
-	// the race can only err toward recompiling, never toward staleness.
-	epoch, err := deviceEpoch(dev)
-	if err != nil {
-		return nil, "", 0, false, err
-	}
-	useCache := c.CacheEnabled && !bypassCache
 	key := ""
-	if useCache {
+	if c.CacheEnabled && !bypassCache {
 		key = fingerprint(k, device)
-		c.mu.Lock()
-		if el, ok := c.loweringCache[key]; ok {
-			entry := el.Value.(*cacheEntry)
-			if entry.epoch == epoch {
-				c.cacheStats.Hits++
-				c.lruList.MoveToFront(el)
-				c.mu.Unlock()
-				c.telem.Add("client/cache_hits", 1)
-				return entry.payload, entry.format, entry.epoch, true, nil
-			}
-			// Compiled against a calibration the device has left.
-			c.removeLocked(el)
-			c.cacheStats.Invalidations++
+		if e := c.cacheLookup(key, epoch, false); e != nil {
+			return e, true, nil
 		}
-		c.cacheStats.Misses++
-		c.mu.Unlock()
-		c.telem.Add("client/cache_misses", 1)
 	}
 	res, err := compiler.Compile(k, dev)
 	if err != nil {
-		return nil, "", 0, false, err
+		return nil, false, err
 	}
-	format := compiler.FormatFor(res.QIR)
-	if useCache {
-		c.mu.Lock()
-		if el, ok := c.loweringCache[key]; ok {
-			// A concurrent compile of the same kernel won the race; keep
-			// its entry and just refresh recency.
-			c.lruList.MoveToFront(el)
-		} else {
-			entry := &cacheEntry{key: key, payload: res.Payload, format: format, epoch: epoch}
-			c.loweringCache[key] = c.lruList.PushFront(entry)
-			c.evictLocked()
-		}
-		c.mu.Unlock()
+	e := &cacheEntry{key: key, payload: res.Payload, format: compiler.FormatFor(res.QIR), epoch: epoch}
+	if key != "" {
+		e = c.cacheInsert(e)
 	}
-	return res.Payload, format, epoch, false, nil
+	return e, false, nil
 }
 
 // containsPulse reports whether a QIR payload carries the pulse profile
@@ -468,21 +514,29 @@ func (c *Client) SubmitCtx(ctx context.Context, k *qpi.Circuit, device string, o
 	} else {
 		tl.AttachRegistry(c.telem)
 	}
-	payload, format, epoch, _, err := c.compileTraced(k, target, opts.BypassCache, tl)
+	e, err := c.compileTraced(k, target, opts.BypassCache, tl)
 	if err != nil {
 		return nil, err
 	}
+	return c.qrm.SubmitCtx(ctx, newRequest(device, target, e, opts, tl))
+}
+
+// newRequest builds the scheduler request for a compiled entry — a
+// concrete payload or a parametric template — compiled against target.
+// Pool submissions leave Device empty so the scheduler places the job on
+// the pool's least-loaded member.
+func newRequest(device, target string, e *cacheEntry, opts SubmitOptions, tl *telemetry.Timeline) qrm.Request {
 	req := qrm.Request{
-		Device: device, Payload: payload, Format: format,
+		Device: device, Payload: e.payload, Format: e.format, Template: e.tpl,
 		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag,
 		MeasLevel: opts.MeasLevel, MeasReturn: opts.MeasReturn,
-		CalibrationEpoch: epoch, CompiledFor: target,
+		CalibrationEpoch: e.epoch, CompiledFor: target,
 		Timeline: tl, ShotWorkers: opts.ShotWorkers,
 	}
 	if opts.Pool != "" {
 		req.Device, req.Pool = "", opts.Pool
 	}
-	return c.qrm.SubmitCtx(ctx, req)
+	return req
 }
 
 // RunCtx is the synchronous context-aware path: compile, schedule, and
@@ -497,20 +551,6 @@ func (c *Client) RunCtx(ctx context.Context, k *qpi.Circuit, device string, opts
 		return nil, err
 	}
 	return resultFromQDMI(res), nil
-}
-
-// Submit compiles and enqueues a kernel detached from any context.
-//
-// Deprecated: use SubmitCtx so cancellation and deadlines propagate.
-func (c *Client) Submit(k *qpi.Circuit, device string, opts SubmitOptions) (*qrm.Ticket, error) {
-	return c.SubmitCtx(context.Background(), k, device, opts)
-}
-
-// Run is the synchronous convenience wrapper detached from any context.
-//
-// Deprecated: use RunCtx.
-func (c *Client) Run(k *qpi.Circuit, device string, opts SubmitOptions) (*qpi.Result, error) {
-	return c.RunCtx(context.Background(), k, device, opts)
 }
 
 // BatchResult pairs one batch entry's outcome with its error; exactly one
@@ -629,13 +669,6 @@ func (a *NativeAdapter) Submit(ctx context.Context, k *qpi.Circuit, cfg qpi.Exec
 		}()
 	}
 	return &ticketHandle{tk: tk}, nil
-}
-
-// Execute runs a kernel synchronously, detached from any context.
-//
-// Deprecated: use qpi.Run(ctx, adapter, kernel, opts...) instead.
-func (a *NativeAdapter) Execute(k *qpi.Circuit, shots int) (*qpi.Result, error) {
-	return a.Client.RunCtx(context.Background(), k, a.Target, SubmitOptions{Shots: shots})
 }
 
 // ticketHandle adapts a QRM ticket to the qpi.Handle future interface.

@@ -135,7 +135,7 @@ func TestRemoteStaleCalibrationCrossesWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	remote, err := NewRemoteAdapter(srv.Addr())
+	remote, err := NewRemoteAdapterCtx(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

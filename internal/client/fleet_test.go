@@ -93,7 +93,7 @@ func TestRemotePoolSubmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	remote, err := NewRemoteAdapter(srv.Addr())
+	remote, err := NewRemoteAdapterCtx(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,8 +75,10 @@ type remoteResponse struct {
 	// ErrorKind carries the machine-readable class of Error across the
 	// wire ("overloaded", "no_such_target"), so the adapter can rebuild
 	// the typed sentinels and callers can back off with errors.Is.
-	ErrorKind       string            `json:"error_kind,omitempty"`
-	Counts          map[string]int    `json:"counts,omitempty"`
+	ErrorKind string `json:"error_kind,omitempty"`
+	// Counts keys are outcome bitmasks; encoding/json writes integer map
+	// keys as decimal strings, so the frame carries {"5": n}.
+	Counts          map[uint64]int    `json:"counts,omitempty"`
 	Shots           int               `json:"shots"`
 	DurationSeconds float64           `json:"duration_seconds"`
 	DeviceInfo      map[string]string `json:"device_info,omitempty"`
@@ -193,7 +195,7 @@ func (s *Server) serve(conn net.Conn) {
 	stop := context.AfterFunc(s.ctx, func() { _ = conn.SetDeadline(time.Now()) })
 	defer stop()
 	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	scanner.Buffer(nil, 1<<24)
 	enc := json.NewEncoder(conn)
 	// Registered templates are scoped to the connection: the registry dies
 	// with it, so a reconnecting adapter must re-register (and a server
@@ -259,7 +261,9 @@ func (s *Server) handle(req *remoteRequest, templates map[string]*ptemplate.Comp
 func (s *Server) handleSubmit(req *remoteRequest, templates map[string]*ptemplate.Compiled) remoteResponse {
 	ctx, cancel := s.jobContext(req)
 	defer cancel()
-	qreq := qrm.Request{}
+	// The wire request names what was compiled and at which epoch; the
+	// entry carries it into the same request builder local submissions use.
+	e := &cacheEntry{epoch: req.CalibrationEpoch}
 	if req.Op == "submit_bound" {
 		tpl, ok := templates[req.TemplateID]
 		if !ok {
@@ -268,19 +272,17 @@ func (s *Server) handleSubmit(req *remoteRequest, templates map[string]*ptemplat
 				ErrorKind: "unknown_template",
 			}
 		}
-		qreq.Template = tpl
-		qreq.Bindings = req.Bindings
+		e.tpl = tpl
 	} else {
-		format := qdmi.ProgramFormat(req.Format)
-		if format == "" {
+		e.payload = []byte(req.Payload)
+		e.format = qdmi.ProgramFormat(req.Format)
+		if e.format == "" {
 			// Legacy clients may omit the format; sniff the payload profile.
-			format = qdmi.FormatQIRBase
-			if containsPulse([]byte(req.Payload)) {
-				format = qdmi.FormatQIRPulse
+			e.format = qdmi.FormatQIRBase
+			if containsPulse(e.payload) {
+				e.format = qdmi.FormatQIRPulse
 			}
 		}
-		qreq.Payload = []byte(req.Payload)
-		qreq.Format = format
 	}
 	level, err := readout.ParseMeasLevel(req.MeasLevel)
 	if err != nil {
@@ -290,32 +292,23 @@ func (s *Server) handleSubmit(req *remoteRequest, templates map[string]*ptemplat
 	if err != nil {
 		return remoteResponse{Error: err.Error()}
 	}
-	device := req.Device
-	compiledFor := ""
-	if req.Pool != "" {
-		// Pool targeting wins, mirroring Client.SubmitCtx — including the
-		// compile-target convention: a pool payload's epoch refers to the
-		// deterministic representative member.
-		device = ""
-		if members, merr := s.client.qrm.PoolMembers(req.Pool); merr == nil {
-			compiledFor = members[0]
-		}
+	opts := SubmitOptions{
+		Shots: req.Shots, ShotWorkers: req.ShotWorkers, Priority: req.Priority, Tag: req.Tag,
+		Pool: req.Pool, MeasLevel: level, MeasReturn: ret,
 	}
-	qreq.Device = device
-	qreq.Pool = req.Pool
-	qreq.Shots = req.Shots
-	qreq.ShotWorkers = req.ShotWorkers
-	qreq.Priority = req.Priority
-	qreq.Tag = req.Tag
-	qreq.MeasLevel = level
-	qreq.MeasReturn = ret
-	qreq.CalibrationEpoch = req.CalibrationEpoch
-	qreq.CompiledFor = compiledFor
+	// Pool targeting wins, mirroring Client.SubmitCtx — including the
+	// compile-target convention: a pool payload's epoch refers to the
+	// deterministic representative member.
+	target, err := s.client.compileTarget(req.Device, opts)
+	if err != nil {
+		return remoteResponse{Error: err.Error(), ErrorKind: errorKind(err)}
+	}
 	// The server-side timeline shares the caller's trace ID and feeds the
 	// server's own fleet registry; its spans ship back with the response so
 	// the client-side timeline covers both machines.
 	tl := s.client.NewTimeline(req.TraceID)
-	qreq.Timeline = tl
+	qreq := newRequest(req.Device, target, e, opts, tl)
+	qreq.Bindings = req.Bindings
 	tk, err := s.client.qrm.SubmitCtx(ctx, qreq)
 	if err != nil {
 		return remoteResponse{Error: err.Error(), ErrorKind: errorKind(err), Spans: telemetry.ToWire(tl.Spans())}
@@ -324,12 +317,8 @@ func (s *Server) handleSubmit(req *remoteRequest, templates map[string]*ptemplat
 	if err != nil {
 		return remoteResponse{Error: err.Error(), ErrorKind: errorKind(err), Spans: telemetry.ToWire(tl.Spans())}
 	}
-	counts := make(map[string]int, len(res.Counts))
-	for mask, n := range res.Counts {
-		counts[fmt.Sprintf("%d", mask)] = n
-	}
 	resp := remoteResponse{
-		Counts: counts, Shots: res.Shots, DurationSeconds: res.DurationSeconds,
+		Counts: res.Counts, Shots: res.Shots, DurationSeconds: res.DurationSeconds,
 		Spans: telemetry.ToWire(tl.Spans()),
 	}
 	if res.MeasLevel != readout.LevelDiscriminated {
@@ -436,12 +425,6 @@ type RemoteAdapter struct {
 	registered map[string]bool
 }
 
-// NewRemoteAdapter dials the remote server, detached from any context.
-func NewRemoteAdapter(addr string, opts ...RemoteOption) (*RemoteAdapter, error) {
-	//lint:mqssvet disable=ctxflow convenience constructor; the Ctx variant is the context-carrying path
-	return NewRemoteAdapterCtx(context.Background(), addr, opts...)
-}
-
 // NewRemoteAdapterCtx dials the remote server under ctx: cancellation or a
 // ctx deadline aborts the dial.
 func NewRemoteAdapterCtx(ctx context.Context, addr string, opts ...RemoteOption) (*RemoteAdapter, error) {
@@ -454,7 +437,7 @@ func NewRemoteAdapterCtx(ctx context.Context, addr string, opts ...RemoteOption)
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteAdapter{addr: addr, conn: conn, rd: bufio.NewReaderSize(conn, 1<<20)}, nil
+	return &RemoteAdapter{addr: addr, conn: conn, rd: bufio.NewReader(conn)}, nil
 }
 
 // Close shuts the connection.
@@ -481,10 +464,17 @@ func (r *RemoteAdapter) closeLocked() {
 // immediately (the connection is then closed: the protocol has no way to
 // resynchronize a half-read response).
 func (r *RemoteAdapter) SubmitPayloadCtx(ctx context.Context, device string, payload []byte, format qdmi.ProgramFormat, opts SubmitOptions) (*qpi.Result, error) {
+	req := submitRequest(device, opts)
+	req.Format, req.Payload = string(format), string(payload)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.submitLocked(ctx, &req, opts)
+}
+
+// submitRequest fills the wire fields every job submission carries.
+func submitRequest(device string, opts SubmitOptions) remoteRequest {
 	req := remoteRequest{
-		Device: device, Pool: opts.Pool, Format: string(format), Payload: string(payload),
+		Device: device, Pool: opts.Pool,
 		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag,
 		ShotWorkers: opts.ShotWorkers, CalibrationEpoch: opts.CalibrationEpoch,
 	}
@@ -492,20 +482,17 @@ func (r *RemoteAdapter) SubmitPayloadCtx(ctx context.Context, device string, pay
 		req.MeasLevel = opts.MeasLevel.String()
 		req.MeasReturn = opts.MeasReturn.String()
 	}
-	resp, err := r.exchangeTraced(ctx, &req, opts)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromWire(resp, opts)
+	return req
 }
 
-// exchangeTraced is exchangeLocked plus telemetry (r.mu must be held): the
-// whole wire round trip is recorded as a client-side dispatch span on
-// opts.Timeline, the trace ID ships in the request, and the server-side
-// spans returned in the response are imported under the dispatch span —
-// marked Remote so their durations never double-count into local
-// histograms. A nil timeline degrades to a plain exchange.
-func (r *RemoteAdapter) exchangeTraced(ctx context.Context, req *remoteRequest, opts SubmitOptions) (*remoteResponse, error) {
+// submitLocked runs one job exchange with telemetry (r.mu must be held)
+// and rebuilds its result: the whole wire round trip is recorded as a
+// client-side dispatch span on opts.Timeline, the trace ID ships in the
+// request, and the server-side spans returned in the response are
+// imported under the dispatch span — marked Remote so their durations
+// never double-count into local histograms. A nil timeline records
+// nothing.
+func (r *RemoteAdapter) submitLocked(ctx context.Context, req *remoteRequest, opts SubmitOptions) (*qpi.Result, error) {
 	tl := opts.Timeline
 	req.TraceID = opts.TraceID
 	if tl != nil {
@@ -518,7 +505,7 @@ func (r *RemoteAdapter) exchangeTraced(ctx context.Context, req *remoteRequest, 
 		return nil, err
 	}
 	tl.Import(telemetry.FromWire(resp.Spans), ds.ID())
-	return resp, nil
+	return resultFromWire(resp, opts)
 }
 
 // Telemetry fetches the remote server's fleet metrics snapshot — every
@@ -576,31 +563,19 @@ func (r *RemoteAdapter) SubmitBoundCtx(ctx context.Context, device string, compi
 	if err := compiled.Validate(b); err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.registerLocked(ctx, compiled); err != nil {
-		return nil, err
-	}
-	req := remoteRequest{
-		Op: "submit_bound", TemplateID: compiled.Fingerprint, Bindings: b,
-		Device: device, Pool: opts.Pool,
-		Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag,
-		ShotWorkers: opts.ShotWorkers, CalibrationEpoch: opts.CalibrationEpoch,
-	}
+	req := submitRequest(device, opts)
+	req.Op, req.TemplateID, req.Bindings = "submit_bound", compiled.Fingerprint, b
 	if req.CalibrationEpoch == 0 {
 		// Default to the epoch the template was lowered against, so the
 		// scheduler's staleness gate protects bound points automatically.
 		req.CalibrationEpoch = compiled.Epoch
 	}
-	if opts.MeasLevel != readout.LevelDiscriminated {
-		req.MeasLevel = opts.MeasLevel.String()
-		req.MeasReturn = opts.MeasReturn.String()
-	}
-	resp, err := r.exchangeTraced(ctx, &req, opts)
-	if err != nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.registerLocked(ctx, compiled); err != nil {
 		return nil, err
 	}
-	return resultFromWire(resp, opts)
+	return r.submitLocked(ctx, &req, opts)
 }
 
 // exchangeLocked performs one line-framed request/response round trip on
@@ -669,15 +644,7 @@ func (r *RemoteAdapter) exchangeLocked(ctx context.Context, req *remoteRequest) 
 // resultFromWire rebuilds a qpi.Result from a wire response, enforcing
 // that the server honored the requested measurement level.
 func resultFromWire(resp *remoteResponse, opts SubmitOptions) (*qpi.Result, error) {
-	counts := map[uint64]int{}
-	for k, v := range resp.Counts {
-		var mask uint64
-		if _, err := fmt.Sscanf(k, "%d", &mask); err != nil {
-			return nil, fmt.Errorf("client: remote counts key %q: %v", k, err)
-		}
-		counts[mask] = v
-	}
-	out := &qpi.Result{Counts: counts, Shots: resp.Shots, DurationSeconds: resp.DurationSeconds}
+	out := &qpi.Result{Counts: resp.Counts, Shots: resp.Shots, DurationSeconds: resp.DurationSeconds}
 	if opts.MeasLevel != readout.LevelDiscriminated && resp.MeasLevel == "" {
 		// An older server ignores the meas_level request field and returns
 		// plain counts; fail loudly rather than silently downgrading.
@@ -733,13 +700,6 @@ func (r *RemoteAdapter) wireError(ctx context.Context, err error) error {
 		return fmt.Errorf("client: remote: %w", cerr)
 	}
 	return err
-}
-
-// SubmitPayload sends a payload detached from any context.
-//
-// Deprecated: use SubmitPayloadCtx so deadlines cross the wire.
-func (r *RemoteAdapter) SubmitPayload(device string, payload []byte, format qdmi.ProgramFormat, shots int) (*qpi.Result, error) {
-	return r.SubmitPayloadCtx(context.Background(), device, payload, format, SubmitOptions{Shots: shots})
 }
 
 // StartPayloadCtx is the asynchronous form of SubmitPayloadCtx: it returns

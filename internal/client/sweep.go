@@ -19,70 +19,37 @@ import (
 // CacheStats.Binds), and a calibration-epoch bump invalidates the entry
 // exactly like a concrete payload's.
 func (c *Client) CompileTemplate(t *ptemplate.Template, device string) (*ptemplate.Compiled, error) {
-	compiled, _, err := c.compileTemplate(t, device)
-	return compiled, err
+	e, _, err := c.compileTemplate(t, device)
+	if err != nil {
+		return nil, err
+	}
+	return e.tpl, nil
 }
 
-// compileTemplate is CompileTemplate plus a cache-hot flag: true when the
-// lookup was served from a cached compiled template (a bind, not a
-// compile) — the flag the sweep path turns into cache-hit/miss spans.
-func (c *Client) compileTemplate(t *ptemplate.Template, device string) (*ptemplate.Compiled, bool, error) {
-	dev, err := c.session.Device(device)
-	if err != nil {
-		return nil, false, err
-	}
-	// Epoch before the cache probe, mirroring compile(): a recalibration
-	// landing mid-lookup can only make the entry look stale.
-	epoch, err := deviceEpoch(dev)
+// compileTemplate is CompileTemplate returning the template's cache entry
+// plus a cache-hot flag: true when the lookup was served from a cached
+// compiled template (a bind, not a compile).
+func (c *Client) compileTemplate(t *ptemplate.Template, device string) (*cacheEntry, bool, error) {
+	dev, epoch, err := c.deviceEpoch(device)
 	if err != nil {
 		return nil, false, err
 	}
 	key := ""
 	if c.CacheEnabled {
 		key = t.Fingerprint(device)
-		c.mu.Lock()
-		if el, ok := c.loweringCache[key]; ok {
-			entry := el.Value.(*cacheEntry)
-			if entry.tpl != nil && entry.epoch == epoch {
-				// Cache-hot template: this sweep point is a bind, not a
-				// compile — the distinction CacheStats.Binds exists to show.
-				c.cacheStats.Binds++
-				c.lruList.MoveToFront(el)
-				c.mu.Unlock()
-				c.telem.Add("client/cache_hits", 1)
-				return entry.tpl, true, nil
-			}
-			// Compiled against a calibration the device has left (or the key
-			// collided with a non-template entry): drop and recompile.
-			c.removeLocked(el)
-			c.cacheStats.Invalidations++
+		if e := c.cacheLookup(key, epoch, true); e != nil {
+			return e, true, nil
 		}
-		c.cacheStats.Misses++
-		c.mu.Unlock()
-		c.telem.Add("client/cache_misses", 1)
 	}
 	compiled, err := ptemplate.Lower(t, dev, device)
 	if err != nil {
 		return nil, false, err
 	}
-	if c.CacheEnabled {
-		c.mu.Lock()
-		if el, ok := c.loweringCache[key]; ok {
-			// A concurrent lowering of the same template won the race; keep
-			// its entry and just refresh recency.
-			c.lruList.MoveToFront(el)
-			if entry := el.Value.(*cacheEntry); entry.tpl != nil {
-				compiled = entry.tpl
-			}
-		} else {
-			entry := &cacheEntry{key: key, format: compiled.Format, epoch: compiled.Epoch, tpl: compiled}
-			c.loweringCache[key] = c.lruList.PushFront(entry)
-			c.templateEntries++
-			c.evictLocked()
-		}
-		c.mu.Unlock()
+	e := &cacheEntry{key: key, format: compiled.Format, epoch: compiled.Epoch, tpl: compiled}
+	if key != "" {
+		e = c.cacheInsert(e)
 	}
-	return compiled, false, nil
+	return e, false, nil
 }
 
 // SubmitSweepCtx enqueues one job per sweep point: the template lowers at
@@ -127,28 +94,14 @@ func (c *Client) SubmitSweepCtx(ctx context.Context, t *ptemplate.Template, devi
 		// keeps a mid-sweep recalibration from dispatching stale points —
 		// the invalidated entry recompiles at the new epoch.
 		compileStart := time.Now()
-		compiled, hot, err := c.compileTemplate(t, target)
+		e, hot, err := c.compileTemplate(t, target)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		compileDur := time.Since(compileStart)
-		span := tl.Record(telemetry.StageCompile, target, compileStart, compileDur, 0)
-		cacheStage := telemetry.StageCacheMiss
-		if hot {
-			cacheStage = telemetry.StageCacheHit
-		}
-		tl.Record(cacheStage, target, compileStart, compileDur, span)
-		req := qrm.Request{
-			Device: device, Template: compiled, Bindings: b,
-			Shots: opts.Shots, Priority: opts.Priority, Tag: opts.Tag,
-			MeasLevel: opts.MeasLevel, MeasReturn: opts.MeasReturn,
-			CalibrationEpoch: compiled.Epoch, CompiledFor: target,
-			Timeline: tl, ShotWorkers: opts.ShotWorkers,
-		}
-		if opts.Pool != "" {
-			req.Device, req.Pool = "", opts.Pool
-		}
+		recordCompile(tl, target, compileStart, hot)
+		req := newRequest(device, target, e, opts, tl)
+		req.Bindings = b
 		tickets[i], errs[i] = c.qrm.SubmitCtx(ctx, req)
 	}
 	return tickets, errs

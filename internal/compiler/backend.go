@@ -2,6 +2,8 @@ package compiler
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"mqsspulse/internal/mlir"
@@ -93,8 +95,7 @@ func Backend(m *mlir.Module, dev qdmi.Device) (*qir.Module, error) {
 	}
 
 	maxQubit := int64(-1)
-	nextResult := int64(0)
-	resultOf := map[string]int64{}
+	numResults := int64(0)
 	for _, op := range seq.Ops {
 		switch o := op.(type) {
 		case *mlir.WaveformRefOp:
@@ -165,9 +166,13 @@ func Backend(m *mlir.Module, dev qdmi.Device) (*qir.Module, error) {
 			}
 			out.Body = append(out.Body, qir.Call{Callee: qir.IntrBarrier, Args: args})
 		case *mlir.CaptureOp:
-			r := nextResult
-			nextResult++
-			resultOf[o.Result] = r
+			r, err := captureBit(o.Result)
+			if err != nil {
+				return nil, err
+			}
+			if r >= numResults {
+				numResults = r + 1
+			}
 			out.Body = append(out.Body, qir.Call{Callee: qir.IntrCapture,
 				Args: []qir.Arg{qir.PortArg(frameHandle[o.Frame.Ref]), qir.ResultArg(r), qir.I64Arg(o.Samples)}})
 		case *mlir.StandardGateOp:
@@ -202,7 +207,7 @@ func Backend(m *mlir.Module, dev qdmi.Device) (*qir.Module, error) {
 			return nil, fmt.Errorf("compiler: backend cannot emit %T", op)
 		}
 	}
-	out.NumResults = int(nextResult)
+	out.NumResults = int(numResults)
 	out.NumQubits = int(maxQubit + 1)
 	if out.UsesPulse() {
 		out.Profile = qir.ProfilePulse
@@ -211,6 +216,17 @@ func Backend(m *mlir.Module, dev qdmi.Device) (*qir.Module, error) {
 		return nil, fmt.Errorf("compiler: backend produced invalid QIR: %w", err)
 	}
 	return out, nil
+}
+
+// captureBit recovers the classical bit a capture writes from its result
+// name. The frontend names every capture m<bit>, so the QIR result index
+// is the bit the kernel named, not the capture's position in the sequence.
+func captureBit(name string) (int64, error) {
+	bit, err := strconv.ParseInt(strings.TrimPrefix(name, "m"), 10, 64)
+	if err != nil || bit < 0 || name != "m"+strconv.FormatInt(bit, 10) {
+		return 0, fmt.Errorf("compiler: capture result %%%s does not name a classical bit (want %%m<bit>)", name)
+	}
+	return bit, nil
 }
 
 // qexpr converts an MLIR parameter expression to its QIR form (nil-safe).
@@ -249,26 +265,39 @@ type Result struct {
 // Compile is the end-to-end JIT path: QPI kernel → MLIR → pass pipeline
 // (with QDMI queries against the target) → QIR Pulse Profile payload.
 func Compile(c *qpi.Circuit, dev qdmi.Device) (*Result, error) {
-	res := &Result{}
 	//lint:mqssvet disable=nodrift stage-timing telemetry only; never reaches payload bytes
 	t0 := time.Now()
 	m, err := Frontend(c, dev)
 	if err != nil {
 		return nil, err
 	}
-	res.Timings.Frontend = time.Since(t0)
+	return lower(m, dev, time.Since(t0))
+}
 
+// CompileMLIRText is the adapter path for jobs arriving as MLIR text (the
+// paper's Qiskit/CUDAQ adapters produce IR rather than QPI calls): parse,
+// run the pipeline, emit QIR.
+func CompileMLIRText(src string, dev qdmi.Device) (*Result, error) {
+	m, err := mlir.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return lower(m, dev, 0)
+}
+
+// lower runs the pass pipeline and the backend over a front-end module;
+// frontend is the time the caller spent producing m.
+func lower(m *mlir.Module, dev qdmi.Device, frontend time.Duration) (*Result, error) {
+	res := &Result{MLIR: m, Timings: StageTimings{Frontend: frontend}}
 	//lint:mqssvet disable=nodrift stage-timing telemetry only; never reaches payload bytes
 	t1 := time.Now()
 	ctx := passes.NewContext(dev)
-	pm := passes.DefaultPipeline()
-	if err := pm.Run(m, ctx); err != nil {
+	if err := passes.DefaultPipeline().Run(m, ctx); err != nil {
 		return nil, err
 	}
 	res.Timings.Midend = time.Since(t1)
 	res.Timings.Passes = ctx.Timings
 	res.Stats = ctx.Stats
-	res.MLIR = m
 
 	//lint:mqssvet disable=nodrift stage-timing telemetry only; never reaches payload bytes
 	t2 := time.Now()
@@ -283,38 +312,6 @@ func Compile(c *qpi.Circuit, dev qdmi.Device) (*Result, error) {
 		// Payload nil forces callers through the template bind path.
 		res.Payload = []byte(q.Emit())
 	}
-	return res, nil
-}
-
-// CompileMLIRText is the adapter path for jobs arriving as MLIR text (the
-// paper's Qiskit/CUDAQ adapters produce IR rather than QPI calls): parse,
-// run the pipeline, emit QIR.
-func CompileMLIRText(src string, dev qdmi.Device) (*Result, error) {
-	res := &Result{}
-	m, err := mlir.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	//lint:mqssvet disable=nodrift stage-timing telemetry only; never reaches payload bytes
-	t1 := time.Now()
-	ctx := passes.NewContext(dev)
-	if err := passes.DefaultPipeline().Run(m, ctx); err != nil {
-		return nil, err
-	}
-	res.Timings.Midend = time.Since(t1)
-	res.Timings.Passes = ctx.Timings
-	res.Stats = ctx.Stats
-	res.MLIR = m
-
-	//lint:mqssvet disable=nodrift stage-timing telemetry only; never reaches payload bytes
-	t2 := time.Now()
-	q, err := Backend(m, dev)
-	if err != nil {
-		return nil, err
-	}
-	res.Timings.Backend = time.Since(t2)
-	res.QIR = q
-	res.Payload = []byte(q.Emit())
 	return res, nil
 }
 

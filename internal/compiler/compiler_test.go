@@ -362,3 +362,42 @@ func TestGateLoweringRequiresDevice(t *testing.T) {
 		t.Fatal("gate lowering without device accepted")
 	}
 }
+
+func TestCaptureNumbersByClassicalBit(t *testing.T) {
+	// Each capture writes the classical bit the kernel named, whatever the
+	// measurement order, and NumResults covers the highest bit.
+	dev := idealDevice(t)
+	for _, tc := range []struct {
+		name string
+		c    *qpi.Circuit
+		want uint64
+	}{
+		{"measure_q1_into_bit1", qpi.NewCircuit("m11", 2, 2).X(1).Measure(1, 1), 2},
+		{"swapped_bits", qpi.NewCircuit("swap", 2, 2).X(0).Measure(0, 1).Measure(1, 0), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.c.End(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Compile(tc.c, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.QIR.NumResults != 2 {
+				t.Fatalf("NumResults = %d, want 2", res.QIR.NumResults)
+			}
+			job, err := dev.SubmitJob(res.Payload, FormatFor(res.QIR), 500)
+			if err != nil {
+				t.Fatal(err)
+			}
+			job.Wait(context.Background())
+			out, err := job.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := float64(out.Counts[tc.want]) / float64(out.Shots); p < 0.95 {
+				t.Fatalf("P(%b) = %g, counts %v", tc.want, p, out.Counts)
+			}
+		})
+	}
+}

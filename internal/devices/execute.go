@@ -285,20 +285,13 @@ func (d *SimDevice) SubmitJob(payload []byte, format qdmi.ProgramFormat, shots i
 
 // SubmitJobOpts implements the qdmi.AcquisitionSubmitter capability:
 // submission with acquisition options (measurement level, return mode).
+// The payload text is parsed into a module, which then takes the same
+// acceptance path as SubmitModule.
 func (d *SimDevice) SubmitJobOpts(payload []byte, format qdmi.ProgramFormat, opts qdmi.JobOptions) (qdmi.Job, error) {
 	switch format {
 	case qdmi.FormatQIRBase, qdmi.FormatQIRPulse:
 	default:
 		return nil, fmt.Errorf("%w: format %q", qdmi.ErrNotSupported, format)
-	}
-	shots := opts.Shots
-	if shots <= 0 || shots > d.cfg.MaxShots {
-		return nil, fmt.Errorf("%w: shots %d outside (0, %d]", qdmi.ErrInvalidArgument, shots, d.cfg.MaxShots)
-	}
-	switch opts.MeasLevel {
-	case readout.LevelDiscriminated, readout.LevelKerneled, readout.LevelRaw:
-	default:
-		return nil, fmt.Errorf("%w: measurement level %v", qdmi.ErrInvalidArgument, opts.MeasLevel)
 	}
 	mod, err := qir.ParseModule(string(payload))
 	if err != nil {
@@ -307,26 +300,15 @@ func (d *SimDevice) SubmitJobOpts(payload []byte, format qdmi.ProgramFormat, opt
 	if mod.UsesPulse() && format != qdmi.FormatQIRPulse {
 		return nil, fmt.Errorf("%w: pulse payload under %q", qdmi.ErrInvalidArgument, format)
 	}
-	binding, err := d.Binding(mod.PortNames)
-	if err != nil {
-		return nil, err
-	}
-	d.mu.Lock()
-	d.nextJob++
-	id := fmt.Sprintf("%s-job-%d", d.cfg.Name, d.nextJob)
-	seed := d.jobRng.Int63()
-	d.mu.Unlock()
-
-	job := qdmi.NewAsyncJob(id)
-	go d.runJob(job, mod, binding, opts, seed)
-	return job, nil
+	return d.SubmitModule(mod, opts)
 }
 
 // SubmitModule implements the qdmi.ModuleSubmitter capability: the
 // bind-aware execution path of the template subsystem. Bound sweep points
 // arrive as in-memory QIR modules and skip the emit-text/parse-text round
-// trip SubmitJobOpts pays per payload; everything downstream of parsing is
-// identical (same binding, same job RNG stream, same runJob pipeline).
+// trip SubmitJobOpts pays per payload; every job, parsed or bound, is
+// accepted here (same checks, same binding, same job RNG stream, same
+// runJob pipeline).
 func (d *SimDevice) SubmitModule(mod *qir.Module, opts qdmi.JobOptions) (qdmi.Job, error) {
 	if mod == nil {
 		return nil, fmt.Errorf("%w: nil module", qdmi.ErrInvalidArgument)

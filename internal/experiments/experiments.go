@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness: one experiment
-// per figure, listing, and quantitative claim of the paper (see DESIGN.md
-// §4). Each experiment returns a Table that cmd/mqss-bench renders and
-// EXPERIMENTS.md records; bench_test.go wraps the same code in testing.B
-// loops.
+// per figure, listing, and quantitative claim of the paper (see
+// ARCHITECTURE.md, "internal/experiments"). Each experiment returns a
+// Table that cmd/mqss-bench renders; bench_test.go wraps the same code in
+// testing.B loops.
 package experiments
 
 import (
@@ -251,7 +251,7 @@ func F2EndToEnd(ctx context.Context) (*Table, error) {
 		return nil, err
 	}
 	defer srv.Close()
-	remote, err := client.NewRemoteAdapter(srv.Addr())
+	remote, err := client.NewRemoteAdapterCtx(ctx, srv.Addr())
 	if err != nil {
 		return nil, err
 	}

@@ -218,11 +218,3 @@ func Run(ctx context.Context, b Backend, c *Circuit, opts ...ExecOption) (*Resul
 	}
 	return h.Wait(ctx)
 }
-
-// Execute dispatches a kernel synchronously, detached from any context.
-//
-// Deprecated: use Run, which threads a context.Context through every layer
-// (cancellation, deadlines) and accepts functional options.
-func Execute(b Backend, c *Circuit, shots int) (*Result, error) {
-	return Run(context.Background(), b, c, WithShots(shots))
-}

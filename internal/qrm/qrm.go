@@ -205,14 +205,6 @@ func (s *Scheduler) SetMaintenanceHook(h MaintenanceHook) {
 	s.hook = h
 }
 
-// Submit enqueues a request detached from any context.
-//
-// Deprecated: use SubmitCtx so cancellation and deadlines propagate into
-// the queue.
-func (s *Scheduler) Submit(req Request) (*Ticket, error) {
-	return s.SubmitCtx(context.Background(), req)
-}
-
 // SubmitCtx enqueues a request bound to ctx and returns its ticket.
 // Cancelling ctx cancels the ticket: queued work never dispatches, and
 // in-flight work is aborted where the device supports it.

@@ -17,6 +17,11 @@ import (
 // true mid-integration (the job was cancelled).
 var ErrInterrupted = errors.New("simq: execution interrupted")
 
+// maxIdleStep caps the dissipator integration step (seconds) for idle
+// segments in the density engine. The unitary part of idle evolution is
+// applied exactly, so only collapse rates bound the step.
+const maxIdleStep = 500e-9
+
 // ExecOptions configures schedule execution.
 type ExecOptions struct {
 	// Shots is the number of measurement samples to draw (default 1024).
@@ -27,11 +32,6 @@ type ExecOptions struct {
 	// ForceDensity runs the density-matrix engine even without collapse
 	// operators.
 	ForceDensity bool
-	// MaxIdleStep caps the dissipator integration step (seconds) used for
-	// idle segments in the density engine; default 500 ns (the unitary part
-	// of idle evolution is applied exactly, so only collapse rates bound
-	// the step).
-	MaxIdleStep float64
 	// ReadoutP01 is the probability a true 0 reads as 1; ReadoutP10 the
 	// probability a true 1 reads as 0 (applied per measured bit).
 	ReadoutP01, ReadoutP10 float64
@@ -167,9 +167,6 @@ type captureEvent struct {
 func (e *Executor) Run(sp *pulse.ScheduledProgram, opts ExecOptions) (*ExecResult, error) {
 	if opts.Shots <= 0 {
 		opts.Shots = 1024
-	}
-	if opts.MaxIdleStep <= 0 {
-		opts.MaxIdleStep = 500e-9
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -408,7 +405,7 @@ func (e *Executor) evolve(st *State, rho *Density, plays []playEvent, makespan i
 					rho.ApplyFull(u)
 				}
 				if len(e.Model.Collapses) > 0 {
-					steps := int(math.Ceil(segT / opts.MaxIdleStep))
+					steps := int(math.Ceil(segT / maxIdleStep))
 					if steps < 1 {
 						steps = 1
 					}

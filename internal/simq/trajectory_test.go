@@ -100,7 +100,7 @@ func TestTrajectoryT1DecayMatchesDensityAndAnalytic(t *testing.T) {
 		}
 	}
 	// Analytic exponential-decay pin on the density reference itself. The
-	// idle dissipator integrates with RK4 at MaxIdleStep = 500 ns: the
+	// idle dissipator integrates with RK4 at maxIdleStep = 500 ns: the
 	// local relative error of RK4 on e^{−λ} is λ⁵/5! ≈ 8e−6 at
 	// λ = step/T1 = 0.25, so a 1e−4 relative tolerance has a 3× margin
 	// over the worst whole-test accumulation.

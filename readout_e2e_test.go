@@ -248,7 +248,7 @@ func TestMeasLevelOverRemoteWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	remote, err := mqsspulse.NewRemoteAdapter(srv.Addr())
+	remote, err := mqsspulse.NewRemoteAdapterCtx(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

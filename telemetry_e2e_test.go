@@ -208,7 +208,7 @@ func TestTelemetryRemoteWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	remote, err := mqsspulse.NewRemoteAdapter(srv.Addr())
+	remote, err := mqsspulse.NewRemoteAdapterCtx(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

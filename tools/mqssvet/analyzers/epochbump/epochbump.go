@@ -18,6 +18,7 @@ import (
 	"go/types"
 
 	"mqsspulse/tools/mqssvet/analysis"
+	"mqsspulse/tools/mqssvet/cfg"
 )
 
 // Analyzer is the epochbump check.
@@ -41,33 +42,21 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 
 	// First pass: which functions write an epoch field (for any marked
-	// type), and which functions call which same-package functions.
-	writesEpoch := map[types.Object]bool{}
-	calls := map[types.Object][]types.Object{}
-	var fns []*ast.FuncDecl
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+	// type); the shared call graph says which functions call which.
+	graph := cfg.BuildCallGraph(pass.Files, pass.TypesInfo)
+	writesEpoch := map[*types.Func]bool{}
+	for fnObj, fn := range graph.Decls {
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if epochWrite(pass, marked, n) {
+				writesEpoch[fnObj] = true
 			}
-			fns = append(fns, fn)
-			fnObj := pass.TypesInfo.Defs[fn.Name]
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if epochWrite(pass, marked, n) {
-					writesEpoch[fnObj] = true
-				}
-				if callee := calleeObj(pass, n); callee != nil {
-					calls[fnObj] = append(calls[fnObj], callee)
-				}
-				return true
-			})
-		}
+			return true
+		})
 	}
 	// Propagate: calling a bumper makes you a bumper.
 	for changed := true; changed; {
 		changed = false
-		for fnObj, callees := range calls {
+		for fnObj, callees := range graph.Calls {
 			if writesEpoch[fnObj] {
 				continue
 			}
@@ -82,8 +71,7 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 
 	// Second pass: every function writing a calibrated field must bump.
-	for _, fn := range fns {
-		fnObj := pass.TypesInfo.Defs[fn.Name]
+	for fnObj, fn := range graph.Decls {
 		if writesEpoch[fnObj] {
 			continue
 		}
@@ -255,21 +243,6 @@ func calibratedWrite(pass *analysis.Pass, marked []*markedType, n ast.Node) (*ma
 		}
 	}
 	return nil, "", token.NoPos
-}
-
-// calleeObj resolves a call to a same-package function or method object.
-func calleeObj(pass *analysis.Pass, n ast.Node) types.Object {
-	call, ok := n.(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return pass.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		return pass.TypesInfo.Uses[fun.Sel]
-	}
-	return nil
 }
 
 // deref strips one pointer level.
